@@ -393,6 +393,9 @@ func runJump(ctx context.Context, s *attemptState) error {
 	jc.Prune = s.prune
 	jc.Check = func() error { return s.chk.Deadline("jump") }
 	jc.Parallelism = s.cfg.Parallelism
+	if s.round > 0 {
+		jc.Prev = s.a.Funcs // rebuild rounds share the first round's SSA
+	}
 	useMemo := s.cfg.Hooks != nil && !s.cfg.Complete && s.round == 0
 	var fns *jump.Functions
 	if useMemo {
@@ -677,7 +680,7 @@ func (a *Analysis) Substitute() *subst.Result {
 	opts := subst.Options{
 		UseMOD:           a.Config.Jump.UseMOD,
 		UseReturnJFs:     a.Config.Jump.UseReturnJFs,
-		Returns:          a.Funcs.Returns,
+		Jump:             a.Funcs,
 		FullSubstitution: a.Config.Jump.FullSubstitution,
 		Gated:            a.Config.Jump.Gated,
 		Prune:            a.Config.Complete,

@@ -104,6 +104,11 @@ type Config struct {
 	// Memo forces per-procedure expression builders even serially, so
 	// truncation counts stay attributable per procedure.
 	Memo Memo
+	// Prev, when non-nil, is an earlier Build over the same call graph
+	// and kill assumptions (complete propagation's previous round): its
+	// procedures' SSA forms are reused rather than rebuilt, since SSA
+	// depends only on the CFG and the kills. Build does not keep it.
+	Prev *Functions
 	// Parallelism bounds the worker goroutines that analyze procedures
 	// concurrently: <= 0 selects one worker per CPU (GOMAXPROCS), 1 runs
 	// the serial pipeline. Results are bit-identical to the serial run:
@@ -131,7 +136,10 @@ type SiteFunctions struct {
 	Dead bool
 }
 
-// ProcFunctions bundles everything computed for one procedure.
+// ProcFunctions bundles everything computed for one procedure. SSA and
+// Intra are the build's own SSA form and value numbering of the
+// procedure (later phases reuse them); both are nil when the product
+// came from a memo rather than an analysis.
 type ProcFunctions struct {
 	Proc  *sem.Procedure
 	SSA   *ssa.Func
@@ -206,10 +214,21 @@ func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, b *symbol
 		entry:    entry,
 		workers:  par.Workers(cfgr.Parallelism, len(cg.Order)),
 		orderIdx: make(map[*sem.Procedure]int, len(cg.Order)),
+		ssaCache: make([]*ssa.Func, len(cg.Order)),
+		analyzed: make([]*intra.Result, len(cg.Order)),
 	}
 	for i, n := range cg.Order {
 		builder.orderIdx[n.Proc] = i
 	}
+	if prev := cfgr.Prev; prev != nil && prev.Graph == cg && prev.Mod == mod && prev.Config.UseMOD == cfgr.UseMOD {
+		for i, n := range cg.Order {
+			if pf := prev.Procs[n.Proc]; pf != nil {
+				builder.ssaCache[i] = pf.SSA
+			}
+		}
+	}
+	// Rounds would otherwise chain, each build retaining all earlier ones.
+	fns.Config.Prev = nil
 	if builder.workers > 1 || cfgr.Memo != nil {
 		if builder.workers > 1 {
 			builder.prebuildSSA()
@@ -279,11 +298,15 @@ type fnBuilder struct {
 	entry    EntryEnv
 	workers  int
 	orderIdx map[*sem.Procedure]int
-	// ssaCache holds one SSA build per procedure: the SSA form depends
-	// only on the CFG and the kill assumptions, both fixed for a Build
-	// call, so the bottom-up (return JF) and top-down (forward JF)
-	// passes can share it.
-	ssaCache map[*callgraph.Node]*ssa.Func
+	// ssaCache holds one SSA build per procedure, indexed like
+	// Graph.Order: the SSA form depends only on the CFG and the kill
+	// assumptions, both fixed for a Build call (and across Config.Prev's
+	// rounds). Parallel mode prebuilds it; otherwise analyzeProc fills
+	// slots as it goes.
+	ssaCache []*ssa.Func
+	// analyzed holds each procedure's value numbering once computed,
+	// indexed like Graph.Order (see analyzeProc).
+	analyzed []*intra.Result
 	// procBuilders (parallel mode only) gives each procedure a private
 	// expression builder: the hash-consing tables are not goroutine-safe,
 	// and expressions cross builders only through Substitute, which
@@ -318,49 +341,84 @@ func (fb *fnBuilder) builderFor(p *sem.Procedure) *symbolic.Builder {
 	return fb.fns.Builder
 }
 
+// BuildSSA builds procedure n's SSA form as every analysis phase needs
+// it: over all program globals, with call-site kills from the MOD
+// summaries when useMOD is set (worst-case kills otherwise).
+func BuildSSA(cg *callgraph.Graph, mod *modref.Info, useMOD bool, n *callgraph.Node) *ssa.Func {
+	opts := ssa.Options{Globals: cg.Prog.Globals()}
+	if useMOD {
+		opts.Kills = mod.Kills
+	}
+	return ssa.Build(n.CFG, dom.Compute(n.CFG), opts)
+}
+
+// SummaryHooks returns the value-numbering engine's hooks for applying
+// return jump functions at call sites: the callee summaries from
+// returns, and — with useMOD — the callees' GMOD sets (nil otherwise:
+// every global may be modified).
+func SummaryHooks(cg *callgraph.Graph, mod *modref.Info, returns map[*sem.Procedure]*intra.ReturnSummary, useMOD bool) (
+	returnJF func(callee string) *intra.ReturnSummary, gmod func(callee string, g *sem.GlobalVar) bool) {
+	returnJF = func(callee string) *intra.ReturnSummary {
+		if cn := cg.Nodes[callee]; cn != nil {
+			return returns[cn.Proc]
+		}
+		return nil
+	}
+	if useMOD {
+		gmod = func(callee string, g *sem.GlobalVar) bool {
+			cn := cg.Nodes[callee]
+			if cn == nil {
+				return true
+			}
+			return mod.GMod(cn.Proc, g)
+		}
+	}
+	return returnJF, gmod
+}
+
 // prebuildSSA fills the SSA cache for every procedure concurrently.
 // ssa.Build touches only per-procedure structures (the CFG, the dom
 // tree, its own Func), so the fan-out needs no synchronization beyond
 // the per-index slots.
 func (fb *fnBuilder) prebuildSSA() {
 	order := fb.fns.Graph.Order
-	opts := ssa.Options{Globals: fb.fns.Graph.Prog.Globals()}
-	if fb.fns.Config.UseMOD {
-		opts.Kills = fb.fns.Mod.Kills
-	}
-	built := make([]*ssa.Func, len(order))
 	// A cancelled prebuild leaves nil cache slots; analyzeProc fills them
 	// lazily, and the passes that follow observe the context themselves.
 	_ = par.ForEachCtx(fb.ctx, fb.workers, len(order), func(i int) error {
 		n := order[i]
-		if fb.memoHit(n.Proc) != nil {
-			return nil // both passes will reuse the memoized product
+		if fb.ssaCache[i] != nil || fb.memoHit(n.Proc) != nil {
+			return nil // already built, or the memoized product is reused
 		}
 		defer guard.Repanic("jump", n.Proc.Name)
-		built[i] = ssa.Build(n.CFG, dom.Compute(n.CFG), opts)
+		fb.ssaCache[i] = BuildSSA(fb.fns.Graph, fb.fns.Mod, fb.fns.Config.UseMOD, n)
 		return nil
 	})
-	fb.ssaCache = make(map[*callgraph.Node]*ssa.Func, len(order))
-	for i, n := range order {
-		fb.ssaCache[n] = built[i]
-	}
 }
 
+// onAnalyze, when non-nil, observes every value-numbering run Build
+// makes (a test seam; it must be safe for concurrent use).
+var onAnalyze func(p *sem.Procedure)
+
 // analyzeProc runs the SSA + symbolic engine for one procedure under
-// the current configuration and the return summaries computed so far.
+// the current configuration and the return summaries computed so far,
+// at most once per Build: the run's inputs — SSA, callee summaries,
+// entry environment, builder, opaque base — are already final when
+// buildReturns analyzes a procedure, so buildForwards gets that run
+// back rather than a second one. Each procedure's slots are touched by
+// one worker at a time.
 func (fb *fnBuilder) analyzeProc(n *callgraph.Node) (*ssa.Func, *intra.Result) {
 	cfgr := fb.fns.Config
-	if fb.ssaCache == nil {
-		fb.ssaCache = make(map[*callgraph.Node]*ssa.Func)
+	i := fb.orderIdx[n.Proc]
+	if res := fb.analyzed[i]; res != nil {
+		return fb.ssaCache[i], res
 	}
-	fn := fb.ssaCache[n]
+	fn := fb.ssaCache[i]
 	if fn == nil {
-		opts := ssa.Options{Globals: fb.fns.Graph.Prog.Globals()}
-		if cfgr.UseMOD {
-			opts.Kills = fb.fns.Mod.Kills
-		}
-		fn = ssa.Build(n.CFG, dom.Compute(n.CFG), opts)
-		fb.ssaCache[n] = fn
+		fn = BuildSSA(fb.fns.Graph, fb.fns.Mod, cfgr.UseMOD, n)
+		fb.ssaCache[i] = fn
+	}
+	if onAnalyze != nil {
+		onAnalyze(n.Proc)
 	}
 
 	iopts := intra.Options{
@@ -374,23 +432,11 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) (*ssa.Func, *intra.Result) {
 		iopts.Entry = fb.entry(n.Proc)
 	}
 	if cfgr.UseReturnJFs {
-		iopts.ReturnJF = func(callee string) *intra.ReturnSummary {
-			if cn := fb.fns.Graph.Nodes[callee]; cn != nil {
-				return fb.fns.Returns[cn.Proc]
-			}
-			return nil
-		}
-		if cfgr.UseMOD {
-			iopts.GMod = func(callee string, g *sem.GlobalVar) bool {
-				cn := fb.fns.Graph.Nodes[callee]
-				if cn == nil {
-					return true
-				}
-				return fb.fns.Mod.GMod(cn.Proc, g)
-			}
-		}
+		iopts.ReturnJF, iopts.GMod = SummaryHooks(fb.fns.Graph, fb.fns.Mod, fb.fns.Returns, cfgr.UseMOD)
 	}
-	return fn, intra.Analyze(fn, iopts)
+	res := intra.Analyze(fn, iopts)
+	fb.analyzed[i] = res
+	return fn, res
 }
 
 // buildReturns walks the call graph bottom-up, producing a
@@ -563,7 +609,7 @@ func (fb *fnBuilder) buildForwards() error {
 		}
 		pfs[i] = pf
 		if memo := fb.fns.Config.Memo; memo != nil {
-			// Both passes over this procedure used its private builder, so
+			// This procedure's one analysis used its private builder, so
 			// its truncation counter is exactly this procedure's share.
 			memo.Store(n.Proc, &ProcMemo{
 				Summary:   fb.fns.Returns[n.Proc],

@@ -2,6 +2,7 @@ package jump
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -281,5 +282,75 @@ func TestSiteFunctionsString(t *testing.T) {
 	s := sf.String()
 	if !strings.Contains(s, "N=7") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestOneAnalysisPerProcedure: the forward pass reuses the value
+// numbering buildReturns computed, so every procedure — summarized or
+// recursive, serial or parallel, with or without return jump
+// functions — is analyzed exactly once per Build.
+func TestOneAnalysisPerProcedure(t *testing.T) {
+	src := chain + `SUBROUTINE R(N)
+INTEGER N
+IF (N .GT. 0) CALL R(N - 1)
+END
+`
+	var mu sync.Mutex
+	runs := make(map[string]int)
+	onAnalyze = func(p *sem.Procedure) {
+		mu.Lock()
+		runs[p.Name]++
+		mu.Unlock()
+	}
+	defer func() { onAnalyze = nil }()
+	for _, par := range []int{1, 4} {
+		for _, ret := range []bool{true, false} {
+			clear(runs)
+			fns, prog := buildFns(t, src, Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: ret, Parallelism: par})
+			for _, p := range prog.Order {
+				if runs[p.Name] != 1 {
+					t.Errorf("P=%d ret=%v: %s analyzed %d times, want 1", par, ret, p.Name, runs[p.Name])
+				}
+				if pf := fns.Procs[p]; pf == nil || pf.SSA == nil || pf.Intra == nil || pf.Intra.F != pf.SSA {
+					t.Errorf("P=%d ret=%v: %s lacks its SSA and value numbering", par, ret, p.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestPrevBuildSharesSSA: a rebuild round (Config.Prev) reuses the
+// previous build's SSA forms when the kill assumptions agree, builds
+// fresh ones when they do not, and does not retain the previous build.
+func TestPrevBuildSharesSSA(t *testing.T) {
+	var diags source.ErrorList
+	prog := sem.Analyze(parser.ParseSource("t.f", chain, &diags), &diags)
+	if diags.HasErrors() {
+		t.Fatalf("front-end errors:\n%s", diags.Error())
+	}
+	cg := callgraph.Build(prog)
+	mod := modref.Compute(cg)
+	for _, par := range []int{1, 4} {
+		cfg := Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: true, Parallelism: par}
+		first, err := Build(nil, cg, mod, symbolic.NewBuilder(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, useMOD := range []bool{true, false} {
+			next := cfg
+			next.UseMOD, next.Prune, next.Prev = useMOD, true, first
+			again, err := Build(nil, cg, mod, symbolic.NewBuilder(), next, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Config.Prev != nil {
+				t.Errorf("P=%d: the rebuild retains the previous build", par)
+			}
+			for _, p := range prog.Order {
+				if shared := again.Procs[p].SSA == first.Procs[p].SSA; shared != useMOD {
+					t.Errorf("P=%d UseMOD=%v: %s SSA shared=%v", par, useMOD, p.Name, shared)
+				}
+			}
+		}
 	}
 }

@@ -64,8 +64,12 @@ func (h *hooks) Graph() (*callgraph.Graph, *modref.Info) { return h.w.graph, h.w
 
 // funcsEntry is a cached whole-program jump-function build for one
 // world and configuration fingerprint. Procs are stored without their
-// SSA/value-numbering state (only complete propagation reads those, and
-// complete propagation bypasses this cache).
+// SSA/value-numbering state, which dominates retained size. Complete
+// propagation reads that state but bypasses this cache; substitution
+// reuses it when present, so after a whole-build hit subst.Run rebuilds
+// each procedure's SSA and value numbering itself. That is rare: the
+// whole-result substitution cache of the same world almost always hits
+// first, and a hit there never reaches subst.Run.
 type funcsEntry struct {
 	returns map[*sem.Procedure]*intra.ReturnSummary
 	procs   map[*sem.Procedure]*jump.ProcFunctions
@@ -151,8 +155,10 @@ func (h *hooks) StoreFuncs(c core.Config, fns *jump.Functions, trunc int) {
 		if pf == nil {
 			continue
 		}
-		// Drop the SSA and value-numbering state: propagation and
-		// substitution never read them, and they dominate retained size.
+		// Drop the SSA and value-numbering state: it dominates retained
+		// size, propagation never reads it, and substitution rebuilds it
+		// on the rare whole-build hit that misses the substitution cache
+		// (see funcsEntry).
 		fe.procs[p] = &jump.ProcFunctions{Proc: pf.Proc, Sites: pf.Sites}
 		for _, sf := range pf.Sites {
 			for _, e := range sf.Formals {
@@ -182,9 +188,9 @@ func (h *hooks) StoreFuncs(c core.Config, fns *jump.Functions, trunc int) {
 // per-procedure entry fingerprints it is built from. The "noret" flag
 // separates runs without return summaries (the all-⊥ fallback analysis)
 // from normal runs of the same configuration.
-func (h *hooks) substKeyParts(c core.Config, opts subst.Options) (whole string, perProc map[*sem.Procedure]string) {
-	base := substFP(c)
-	if opts.UseReturnJFs && len(opts.Returns) == 0 {
+func (h *hooks) substKeyParts(c core.Config, opts subst.Options) (whole, base string, perProc map[*sem.Procedure]string) {
+	base = substFP(c)
+	if opts.UseReturnJFs && (opts.Jump == nil || len(opts.Jump.Returns) == 0) {
 		base += ";noret"
 	}
 	perProc = make(map[*sem.Procedure]string, len(h.w.prog.Order))
@@ -195,18 +201,14 @@ func (h *hooks) substKeyParts(c core.Config, opts subst.Options) (whole string, 
 		perProc[p] = efp
 		parts = append(parts, p.Name, efp)
 	}
-	return hashStrings(parts...), perProc
+	return hashStrings(parts...), base, perProc
 }
 
 func (h *hooks) Subst(c core.Config, opts subst.Options) (*subst.Result, subst.Memo) {
 	if opts.Entry == nil {
 		return nil, nil
 	}
-	whole, perProc := h.substKeyParts(c, opts)
-	base := substFP(c)
-	if opts.UseReturnJFs && len(opts.Returns) == 0 {
-		base += ";noret"
-	}
+	whole, base, perProc := h.substKeyParts(c, opts)
 
 	h.c.mu.Lock()
 	if res := h.w.substCache[whole]; res != nil {
@@ -246,7 +248,7 @@ func (h *hooks) StoreSubst(c core.Config, opts subst.Options, res *subst.Result)
 	if opts.Entry == nil || res == nil {
 		return
 	}
-	whole, _ := h.substKeyParts(c, opts)
+	whole, _, _ := h.substKeyParts(c, opts)
 	bytes := int64(len(res.Replacements))*96 + int64(len(res.PerProc))*64 + 512
 	h.c.mu.Lock()
 	defer h.c.mu.Unlock()

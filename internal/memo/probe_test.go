@@ -69,7 +69,7 @@ func TestPhaseProfile(t *testing.T) {
 	})
 	best("subst", func() {
 		subst.Run(cg, mod, subst.Options{
-			UseMOD: true, UseReturnJFs: true, Returns: fns.Returns,
+			UseMOD: true, UseReturnJFs: true, Jump: &jump.Functions{Returns: fns.Returns},
 			Builder: symbolic.NewBuilder(), Parallelism: 1,
 		})
 	})

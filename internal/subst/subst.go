@@ -14,17 +14,19 @@
 package subst
 
 import (
+	"maps"
+	"strconv"
+
 	"repro/internal/ast"
 	"repro/internal/callgraph"
-	"repro/internal/dom"
 	"repro/internal/guard"
 	"repro/internal/intra"
+	"repro/internal/jump"
 	"repro/internal/modref"
 	"repro/internal/par"
 	"repro/internal/sem"
 	"repro/internal/ssa"
 	"repro/internal/symbolic"
-	"strconv"
 )
 
 // Options configures a substitution pass.
@@ -32,10 +34,17 @@ type Options struct {
 	// UseMOD: kill sets at calls come from MOD summaries; otherwise
 	// worst-case.
 	UseMOD bool
-	// UseReturnJFs consults callee return summaries during the re-run.
+	// UseReturnJFs consults callee return summaries (Jump.Returns)
+	// during the re-run.
 	UseReturnJFs bool
-	// Returns supplies the return summaries when UseReturnJFs is set.
-	Returns map[*sem.Procedure]*intra.ReturnSummary
+	// Jump is the jump phase's build over the same call graph and MOD
+	// summaries (nil for a purely intraprocedural count). It supplies the
+	// return summaries, and each procedure's SSA form and value numbering
+	// where the build kept them: the SSA is reused whenever the kill
+	// assumptions (UseMOD) agree, and the value numbering outright when
+	// it was computed under exactly this pass's options — same entry
+	// environment, pruning, gating, substitution mode and summaries.
+	Jump *jump.Functions
 	// FullSubstitution: see intra.Options.
 	FullSubstitution bool
 	// Gated: see intra.Options.
@@ -57,7 +66,8 @@ type Options struct {
 	// Parallelism bounds the worker goroutines counting procedures
 	// concurrently: <= 0 selects GOMAXPROCS, 1 is serial. Counts and
 	// replacements are identical either way (procedures are independent;
-	// workers get private builders and merge in call-graph order).
+	// re-analyses get private builders, and results merge in call-graph
+	// order).
 	Parallelism int
 }
 
@@ -80,6 +90,11 @@ type Result struct {
 	Replacements map[ast.Expr]string
 }
 
+// onAnalyze, when non-nil, observes every procedure Run re-analyzes
+// rather than reusing the jump phase's value numbering (a test seam; it
+// must be safe for concurrent use).
+var onAnalyze func(p *sem.Procedure)
+
 // Run counts (and records) constant substitutions for the whole
 // program under the given configuration.
 func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
@@ -93,6 +108,7 @@ func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
 		Replacements: make(map[ast.Expr]string),
 	}
 	workers := par.Workers(opts.Parallelism, len(cg.Order))
+	ps := &pass{cg: cg, mod: mod, opts: opts, private: workers > 1}
 	counts := make([]int, len(cg.Order))
 	repls := make([]map[ast.Expr]string, len(cg.Order))
 	workerBuilders := make([]*symbolic.Builder, len(cg.Order))
@@ -104,18 +120,8 @@ func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
 				return nil
 			}
 		}
-		popts := opts
-		if workers > 1 {
-			// Private interner per procedure: the hash-consing tables are
-			// not goroutine-safe. Replacement keys are this procedure's own
-			// AST nodes, so per-procedure maps merge without collisions.
-			pb := symbolic.NewBuilder()
-			pb.SetMaxSize(opts.Builder.MaxSize())
-			popts.Builder = pb
-			workerBuilders[i] = pb
-		}
 		repls[i] = make(map[ast.Expr]string)
-		counts[i] = substProcGuarded(cg, mod, n, int64(i+1)<<32, popts, repls[i])
+		counts[i], workerBuilders[i] = ps.procGuarded(i, repls[i])
 		if opts.Memo != nil {
 			opts.Memo.Store(n.Proc, counts[i], repls[i])
 		}
@@ -134,23 +140,44 @@ func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
 	return res
 }
 
-// substProcGuarded tags panics with the failing procedure's name.
-func substProcGuarded(cg *callgraph.Graph, mod *modref.Info, n *callgraph.Node, opaqueBase int64, opts Options, repl map[ast.Expr]string) int {
-	defer guard.Repanic("subst", n.Proc.Name)
-	return substProc(cg, mod, n, opaqueBase, opts, repl)
+// pass is one Run's shared, read-only state.
+type pass struct {
+	cg   *callgraph.Graph
+	mod  *modref.Info
+	opts Options
+	// private gives each re-analyzed procedure its own interner
+	// (parallel mode): the hash-consing tables are not goroutine-safe.
+	// Replacement keys are each procedure's own AST nodes, so
+	// per-procedure maps merge without collisions.
+	private bool
 }
 
-func substProc(cg *callgraph.Graph, mod *modref.Info, n *callgraph.Node, opaqueBase int64, opts Options, repl map[ast.Expr]string) int {
-	ssaOpts := ssa.Options{Globals: cg.Prog.Globals()}
-	if opts.UseMOD {
-		ssaOpts.Kills = mod.Kills
+// procGuarded tags panics with the failing procedure's name.
+func (ps *pass) procGuarded(i int, repl map[ast.Expr]string) (int, *symbolic.Builder) {
+	defer guard.Repanic("subst", ps.cg.Order[i].Proc.Name)
+	return ps.proc(i, repl)
+}
+
+// proc counts the substitutions of procedure i (in call-graph order)
+// into repl. It returns the private builder a re-analysis interned
+// into: nil serially, and nil when the jump phase's value numbering was
+// reused, so builders are made only for procedures that need one.
+func (ps *pass) proc(i int, repl map[ast.Expr]string) (int, *symbolic.Builder) {
+	cg, mod, opts, jf := ps.cg, ps.mod, ps.opts, ps.opts.Jump
+	n := cg.Order[i]
+	var pf *jump.ProcFunctions
+	if jf != nil && jf.Graph == cg && jf.Mod == mod && jf.Config.UseMOD == opts.UseMOD {
+		pf = jf.Procs[n.Proc]
 	}
-	dt := dom.Compute(n.CFG)
-	fn := ssa.Build(n.CFG, dt, ssaOpts)
+	var fn *ssa.Func
+	if pf != nil && pf.SSA != nil {
+		fn = pf.SSA
+	} else {
+		fn = jump.BuildSSA(cg, mod, opts.UseMOD, n)
+	}
 
 	iopts := intra.Options{
-		Builder:          opts.Builder,
-		OpaqueBase:       opaqueBase,
+		OpaqueBase:       int64(i+1) << 32,
 		Prune:            opts.Prune,
 		FullSubstitution: opts.FullSubstitution,
 		Gated:            opts.Gated,
@@ -158,31 +185,52 @@ func substProc(cg *callgraph.Graph, mod *modref.Info, n *callgraph.Node, opaqueB
 	if opts.Entry != nil {
 		iopts.Entry = opts.Entry(n.Proc)
 	}
-	if opts.UseReturnJFs && opts.Returns != nil {
-		iopts.ReturnJF = func(callee string) *intra.ReturnSummary {
-			if cn := cg.Nodes[callee]; cn != nil {
-				return opts.Returns[cn.Proc]
-			}
-			return nil
-		}
-		if opts.UseMOD {
-			iopts.GMod = func(callee string, g *sem.GlobalVar) bool {
-				cn := cg.Nodes[callee]
-				if cn == nil {
-					return true
-				}
-				return mod.GMod(cn.Proc, g)
-			}
-		}
+	if opts.UseReturnJFs && jf != nil {
+		iopts.ReturnJF, iopts.GMod = jump.SummaryHooks(cg, mod, jf.Returns, opts.UseMOD)
 	}
-	r := intra.Analyze(fn, iopts)
+	var r *intra.Result
+	var private *symbolic.Builder
+	if pf != nil && sameRun(pf.Intra, fn, iopts, opts.Builder.MaxSize()) {
+		r = pf.Intra
+	} else {
+		iopts.Builder = opts.Builder
+		if ps.private {
+			private = symbolic.NewBuilder()
+			private.SetMaxSize(opts.Builder.MaxSize())
+			iopts.Builder = private
+		}
+		if onAnalyze != nil {
+			onAnalyze(n.Proc)
+		}
+		r = intra.Analyze(fn, iopts)
+	}
 
 	c := &counter{
 		proc: n.Proc, cg: cg, mod: mod, fn: fn, res: r,
 		useMOD: opts.UseMOD, repl: repl,
 	}
 	c.walkStmts(n.Proc.Unit.Body)
-	return c.count
+	return c.count, private
+}
+
+// sameRun reports whether r, the jump phase's value numbering of a
+// procedure, is the run of fn under iopts that Run would repeat: the
+// same opaque base, engine switches, summary and GMOD use, size budget
+// and entry environment. Summaries and GMOD come from the same Jump
+// build and MOD summaries on both sides, so their presence is all that
+// can differ.
+func sameRun(r *intra.Result, fn *ssa.Func, iopts intra.Options, maxSize int) bool {
+	if r == nil || r.F != fn {
+		return false
+	}
+	o := r.Opts
+	if o.OpaqueBase != iopts.OpaqueBase || o.Prune != iopts.Prune ||
+		o.Gated != iopts.Gated || o.FullSubstitution != iopts.FullSubstitution ||
+		(o.ReturnJF == nil) != (iopts.ReturnJF == nil) || (o.GMod == nil) != (iopts.GMod == nil) ||
+		o.Builder.MaxSize() != maxSize {
+		return false
+	}
+	return maps.Equal(o.Entry, iopts.Entry)
 }
 
 type counter struct {

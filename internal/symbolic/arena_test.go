@@ -57,6 +57,27 @@ func TestArenaGrowth(t *testing.T) {
 	}
 }
 
+// TestArenaChunksGrowGeometrically: a builder's first chunk is small
+// (per-procedure builders mostly intern few nodes) and each later one
+// doubles, up to exprChunk.
+func TestArenaChunksGrowGeometrically(t *testing.T) {
+	b := NewBuilder()
+	n := b.ParamLeaf(newSym("N"))
+	buildDistinct(b, n, 4*exprChunk)
+	want := firstExprChunk
+	for i, c := range b.chunks {
+		if cap(c) != want {
+			t.Fatalf("chunk %d holds %d nodes, want %d", i, cap(c), want)
+		}
+		if want < exprChunk {
+			want = min(2*want, exprChunk)
+		}
+	}
+	if last := b.chunks[len(b.chunks)-1]; cap(last) != exprChunk {
+		t.Errorf("last chunk holds %d nodes, want the cap %d", cap(last), exprChunk)
+	}
+}
+
 // TestInternTableCollisions drives the open-addressed intern table
 // through many growth cycles (the table starts small) with keys that
 // necessarily collide along the way, and checks that lookups never

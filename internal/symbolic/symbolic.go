@@ -154,10 +154,13 @@ func (e *Expr) String() string {
 }
 
 const (
-	// exprChunk is the arena chunk size: nodes per slab allocation.
-	exprChunk = 512
-	// ptrChunk is the shared Args/support slab chunk size.
-	ptrChunk = 2048
+	// firstExprChunk and exprChunk bound the arena's chunk sizes: nodes
+	// per slab allocation (see grownChunk).
+	firstExprChunk = 16
+	exprChunk      = 512
+	// firstPtrChunk and ptrChunk bound the shared Args/support slab's.
+	firstPtrChunk = 64
+	ptrChunk      = 2048
 	// noKid marks an unused argument slot in an internKey. No node can
 	// hold this id: the pool would have to contain 2^32 nodes first.
 	noKid = ^uint32(0)
@@ -252,11 +255,27 @@ func (b *Builder) NumExprs() int { return int(b.nextID) }
 // NumChunks returns how many arena chunks back the pool.
 func (b *Builder) NumChunks() int { return len(b.chunks) }
 
+// grownChunk sizes the next slab chunk: first on an empty slab, then
+// doubling the previous chunk up to max. The parallel pipeline makes a
+// builder per procedure and most procedures intern few nodes, so a
+// full-size first chunk would mostly be allocated and cleared slack;
+// doubling keeps the chunk count logarithmic in the node count.
+func grownChunk(cur, first, max int) int {
+	if cur == 0 {
+		return first
+	}
+	if n := 2 * cur; n < max {
+		return n
+	}
+	return max
+}
+
 // alloc carves the next node out of the arena. Returned memory is
-// zeroed; the *Expr address is stable for the life of the Builder.
+// zeroed; the *Expr address is stable for the life of the Builder
+// (full chunks are never moved, only chained).
 func (b *Builder) alloc() *Expr {
 	if len(b.cur) == cap(b.cur) {
-		b.cur = make([]Expr, 0, exprChunk)
+		b.cur = make([]Expr, 0, grownChunk(cap(b.cur), firstExprChunk, exprChunk))
 		b.chunks = append(b.chunks, b.cur)
 	}
 	b.cur = b.cur[:len(b.cur)+1]
@@ -267,7 +286,7 @@ func (b *Builder) alloc() *Expr {
 // shared slab.
 func (b *Builder) span(n int) []*Expr {
 	if len(b.ptrSlab)+n > cap(b.ptrSlab) {
-		c := ptrChunk
+		c := grownChunk(cap(b.ptrSlab), firstPtrChunk, ptrChunk)
 		if n > c {
 			c = n
 		}

@@ -3,6 +3,7 @@ package ipcp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -171,13 +172,10 @@ func TestSolverStepBudgetDegrades(t *testing.T) {
 	}
 }
 
-// TestExprSizeBudgetWarnsAndStaysSound: a tiny expression-size budget
-// truncates polynomial jump functions to opaque values — a sound loss
-// of precision reported on the jf-expr-size axis, not a failure.
-func TestExprSizeBudgetWarnsAndStaysSound(t *testing.T) {
-	// The polynomial jump function lives in MID, where K is a formal —
-	// in MAIN it would constant-fold before any large expression exists.
-	src := `PROGRAM MAIN
+// exprSizeSrc puts a polynomial jump function in MID, where K is a
+// formal — in MAIN it would constant-fold before any large expression
+// exists.
+const exprSizeSrc = `PROGRAM MAIN
 CALL MID(4)
 END
 SUBROUTINE MID(K)
@@ -189,30 +187,107 @@ INTEGER N
 PRINT *, N
 END
 `
+
+// truncations returns the count a result's jf-expr-size warning
+// reports (0 without one).
+func truncations(t *testing.T, res *Result) int {
+	t.Helper()
+	n := 0
+	for _, d := range res.Degradations {
+		if d.Axis != string(guard.AxisExprSize) {
+			continue
+		}
+		if _, err := fmt.Sscanf(d.Detail, "%d jump-function", &n); err != nil {
+			t.Fatalf("unparseable jf-expr-size detail %q: %v", d.Detail, err)
+		}
+	}
+	return n
+}
+
+// TestExprSizeBudgetWarnsAndStaysSound: a tiny expression-size budget
+// truncates polynomial jump functions to opaque values — a sound loss
+// of precision reported on the jf-expr-size axis, not a failure.
+func TestExprSizeBudgetWarnsAndStaysSound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Kind = Polynomial
 	cfg.Budget.MaxJFExprSize = 2
-	res, err := Analyze("poly.f", src, cfg)
+	res, err := Analyze("poly.f", exprSizeSrc, cfg)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	found := false
-	for _, d := range res.Degradations {
-		if d.Axis == string(guard.AxisExprSize) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no jf-expr-size warning: %v", res.Degradations)
+	// Jump-function construction analyzes each procedure once, so each
+	// over-size expression is charged once.
+	if got, want := truncations(t, res), 12; got != want {
+		t.Errorf("jf-expr-size count = %d, want %d: %v", got, want, res.Degradations)
 	}
 	// Truncation must only lose constants, never invent them: the full
 	// run proves N=25; the truncated run must claim N=25 or nothing.
-	full, err := Analyze("poly.f", src, func() Config { c := DefaultConfig(); c.Kind = Polynomial; return c }())
+	full, err := Analyze("poly.f", exprSizeSrc, func() Config { c := DefaultConfig(); c.Kind = Polynomial; return c }())
 	if err != nil {
 		t.Fatalf("unbudgeted Analyze: %v", err)
 	}
 	if !subsetOf(res.ConstantsOf("WORK"), full.ConstantsOf("WORK")) {
 		t.Errorf("truncated constants %v ⊄ full constants %v", res.ConstantsOf("WORK"), full.ConstantsOf("WORK"))
+	}
+}
+
+// TestExprSizeCountAcrossPaths: the jf-expr-size count is the same
+// whichever path produced the jump functions — serial or parallel,
+// cold, a warm cache (whole-build and per-unit hits) or a session.
+func TestExprSizeCountAcrossPaths(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Kind = Polynomial
+	cfg.Budget.MaxJFExprSize = 2
+	// The edit touches only WORK, so MID's truncating build is reused.
+	edited := strings.Replace(exprSizeSrc, "PRINT *, N\n", "PRINT *, N + 1\n", 1)
+	workUnit := "SUBROUTINE WORK(N)\nINTEGER N\nPRINT *, N + 1\nEND\n"
+	for _, par := range []int{1, 4} {
+		cfg.Parallelism = par
+		count := func(label, src string, c Config) int {
+			t.Helper()
+			res, err := Analyze("poly.f", src, c)
+			if err != nil {
+				t.Fatalf("P=%d %s: %v", par, label, err)
+			}
+			return truncations(t, res)
+		}
+		want := count("cold", exprSizeSrc, cfg)
+		wantEdited := count("cold edited", edited, cfg)
+		if want == 0 || wantEdited == 0 {
+			t.Fatalf("P=%d: no truncation (cold %d, edited %d)", par, want, wantEdited)
+		}
+
+		cached := cfg
+		cached.Cache = NewCache(CacheOptions{})
+		for _, label := range []string{"cache fill", "cache warm"} {
+			if got := count(label, exprSizeSrc, cached); got != want {
+				t.Errorf("P=%d %s: count %d, cold %d", par, label, got, want)
+			}
+		}
+		if got := count("cache per-unit", edited, cached); got != wantEdited {
+			t.Errorf("P=%d cache per-unit: count %d, cold %d", par, got, wantEdited)
+		}
+
+		s, err := OpenSession(context.Background(), "poly.f", exprSizeSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := truncations(t, r); got != want {
+			t.Errorf("P=%d session open: count %d, cold %d", par, got, want)
+		}
+		if _, err := s.Edit(context.Background(), []UnitEdit{{Op: "replace", Index: 2, Text: workUnit}}); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = s.Result(); err != nil {
+			t.Fatal(err)
+		}
+		if got := truncations(t, r); got != wantEdited {
+			t.Errorf("P=%d session edit: count %d, cold %d", par, got, wantEdited)
+		}
 	}
 }
 
