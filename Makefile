@@ -13,6 +13,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -284,6 +284,27 @@ func BenchmarkParallelAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkSuiteCold is one op per pass over the 13 suite programs,
+// each analyzed cold (no cache) at Parallelism 1 under the default
+// configuration: the traffic of perfbench's `suite` workload.
+func BenchmarkSuiteCold(b *testing.B) {
+	var names, srcs []string
+	for _, spec := range suite.Programs() {
+		names = append(names, spec.Name+".f")
+		srcs = append(srcs, suite.Source(spec))
+	}
+	c := ipcppkg.DefaultConfig()
+	c.Parallelism = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for k, src := range srcs {
+			if _, err := ipcppkg.Analyze(names[k], src, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkParallelSweep(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

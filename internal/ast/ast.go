@@ -60,6 +60,9 @@ type Unit struct {
 	Result   BaseType // function result type (TypeNone otherwise)
 	Decls    []Decl
 	Body     []Stmt
+	// NumExprs bounds the unit's expression IDs: every expression node
+	// reachable from the unit has a distinct ID in [0, NumExprs).
+	NumExprs int
 }
 
 func (u *Unit) Pos() source.Position { return u.Position }
@@ -306,20 +309,32 @@ func (*PrintStmt) stmtNode()        {}
 // Expressions
 
 // Expr is an expression node.
+//
+// Every expression node carries an ID, dense per unit: the parser
+// numbers a unit's expressions from 0 (Unit.NumExprs bounds them), and
+// later phases that synthesize nodes number them upward from there
+// (cfg.Graph.NumExprs). Per-expression facts — types, SSA values — live
+// in slices indexed by ID instead of maps keyed by node. IDs are per
+// unit, so a unit parsed alone, re-parsed or spliced into another file
+// keeps them; CloneUnit copies them.
 type Expr interface {
 	Node
+	// ExprID returns the node's per-unit expression ID.
+	ExprID() int32
 	exprNode()
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Position source.Position
+	ID       int32
 	Value    int64
 }
 
 // RealLit is a real literal; Text preserves the original spelling.
 type RealLit struct {
 	Position source.Position
+	ID       int32
 	Value    float64
 	Text     string
 }
@@ -327,12 +342,14 @@ type RealLit struct {
 // LogLit is `.TRUE.` or `.FALSE.`.
 type LogLit struct {
 	Position source.Position
+	ID       int32
 	Value    bool
 }
 
 // StrLit is a character literal (only printable; not a propagated type).
 type StrLit struct {
 	Position source.Position
+	ID       int32
 	Value    string
 }
 
@@ -340,6 +357,7 @@ type StrLit struct {
 // when used as an actual argument — a procedure name.
 type Ident struct {
 	Position source.Position
+	ID       int32
 	Name     string
 }
 
@@ -347,6 +365,7 @@ type Ident struct {
 // disambiguated by package sem.
 type Apply struct {
 	Position source.Position
+	ID       int32
 	Name     string
 	Args     []Expr
 }
@@ -397,6 +416,7 @@ func (o Op) IsArith() bool { return o <= OpNeg }
 // Unary is a unary operation (OpNeg or OpNot).
 type Unary struct {
 	Position source.Position
+	ID       int32
 	Op       Op
 	X        Expr
 }
@@ -404,6 +424,7 @@ type Unary struct {
 // Binary is a binary operation.
 type Binary struct {
 	Position source.Position
+	ID       int32
 	Op       Op
 	X, Y     Expr
 }
@@ -416,6 +437,15 @@ func (e *Ident) Pos() source.Position   { return e.Position }
 func (e *Apply) Pos() source.Position   { return e.Position }
 func (e *Unary) Pos() source.Position   { return e.Position }
 func (e *Binary) Pos() source.Position  { return e.Position }
+
+func (e *IntLit) ExprID() int32  { return e.ID }
+func (e *RealLit) ExprID() int32 { return e.ID }
+func (e *LogLit) ExprID() int32  { return e.ID }
+func (e *StrLit) ExprID() int32  { return e.ID }
+func (e *Ident) ExprID() int32   { return e.ID }
+func (e *Apply) ExprID() int32   { return e.ID }
+func (e *Unary) ExprID() int32   { return e.ID }
+func (e *Binary) ExprID() int32  { return e.ID }
 
 func (*IntLit) exprNode()  {}
 func (*RealLit) exprNode() {}

@@ -158,3 +158,90 @@ func TestCloneDeclsIndependent(t *testing.T) {
 		t.Error("CloneDecl shares state")
 	}
 }
+
+// unitExprs lists a unit's expression nodes in a fixed walk order:
+// declaration bounds and values, then statement operands, each with
+// its subexpressions.
+func unitExprs(u *Unit) []Expr {
+	var out []Expr
+	add := func(e Expr) {
+		WalkExpr(e, func(x Expr) bool { out = append(out, x); return true })
+	}
+	for _, d := range u.Decls {
+		var items []*DeclItem
+		var values []Expr
+		switch x := d.(type) {
+		case *VarDecl:
+			items = x.Items
+		case *CommonDecl:
+			items = x.Items
+		case *DimensionDecl:
+			items = x.Items
+		case *ParamDecl:
+			values = x.Values
+		case *DataDecl:
+			values = x.Values
+		}
+		for _, it := range items {
+			for _, e := range it.Dims {
+				add(e)
+			}
+		}
+		for _, e := range values {
+			add(e)
+		}
+	}
+	WalkStmts(u.Body, func(s Stmt) bool {
+		for _, e := range ExprsOf(s) {
+			add(e)
+		}
+		return true
+	})
+	return out
+}
+
+// TestCloneKeepsExprIDs: a clone carries its original's expression IDs
+// and NumExprs, so per-ID side tables built for one apply to the other.
+func TestCloneKeepsExprIDs(t *testing.T) {
+	for _, u := range fullFile().Units {
+		es := unitExprs(u)
+		for i, e := range es {
+			id := int32(100 + i)
+			switch x := e.(type) {
+			case *IntLit:
+				x.ID = id
+			case *RealLit:
+				x.ID = id
+			case *LogLit:
+				x.ID = id
+			case *StrLit:
+				x.ID = id
+			case *Ident:
+				x.ID = id
+			case *Apply:
+				x.ID = id
+			case *Unary:
+				x.ID = id
+			case *Binary:
+				x.ID = id
+			}
+		}
+		u.NumExprs = 100 + len(es)
+		c := CloneUnit(u)
+		if c.NumExprs != u.NumExprs {
+			t.Errorf("%s: clone NumExprs %d, want %d", u.Name, c.NumExprs, u.NumExprs)
+		}
+		ce := unitExprs(c)
+		if len(ce) != len(es) {
+			t.Fatalf("%s: clone has %d expressions, original %d", u.Name, len(ce), len(es))
+		}
+		for i := range es {
+			if ce[i] == es[i] {
+				t.Fatalf("%s: clone shares %s", u.Name, ExprString(es[i]))
+			}
+			if got, want := ce[i].ExprID(), es[i].ExprID(); got != want {
+				t.Errorf("%s: clone of %s has ID %d, want %d", u.Name, ExprString(es[i]), got, want)
+			}
+		}
+	}
+}

@@ -26,6 +26,14 @@ type Graph struct {
 	Exit   *Block // every RETURN/STOP/fall-off-END reaches here
 	// Sites lists all call sites in the procedure, in instruction order.
 	Sites []*CallSite
+	// NumExprs bounds the expression IDs of the graph's instructions and
+	// terminators: the unit's own in [0, Unit.NumExprs), and the nodes
+	// the builder synthesizes (DO-loop tests and increments, computed
+	// GOTO and arithmetic IF branches, call-free copies made by call
+	// extraction) in [Unit.NumExprs, NumExprs). The synthesized nodes
+	// belong to the graph, not to the unit, so graphs built
+	// concurrently from one shared AST never touch each other's IDs.
+	NumExprs int
 }
 
 // Block is a basic block: straight-line instructions plus a terminator.
@@ -153,10 +161,10 @@ type Terminator struct {
 // ---------------------------------------------------------------------
 // Builder
 
-// Build constructs the CFG for one procedure. prog supplies Apply
-// resolution (array vs call).
+// Build constructs the CFG for one procedure. proc's sem facts supply
+// Apply resolution (array vs call); prog supplies the callees.
 func Build(prog *sem.Program, proc *sem.Procedure) *Graph {
-	b := &builder{prog: prog, proc: proc, labelPCs: make(map[string]int)}
+	b := &builder{prog: prog, proc: proc, labelPCs: make(map[string]int), nextID: int32(proc.Unit.NumExprs)}
 	// DATA statements initialize storage at load time. For the main
 	// program (which runs exactly once, first) that is equivalent to
 	// assignments at entry; for other units it is not (they may be
@@ -215,6 +223,7 @@ type builder struct {
 	ops      []flatOp
 	labelPCs map[string]int // label → index in ops of its flatLabel
 	nextGen  int            // generator for synthesized labels
+	nextID   int32          // next ID for a synthesized expression
 	sites    []*CallSite
 
 	// instrArena and blockArena are slab chunks for Instr/Block nodes;
@@ -267,6 +276,12 @@ func (b *builder) edgeAppend(s []*Block, x *Block) []*Block {
 		s = b.blkSlab[lo : lo : lo+2]
 	}
 	return append(s, x)
+}
+
+// id hands out the next synthesized expression ID (see Graph.NumExprs).
+func (b *builder) id() int32 {
+	b.nextID++
+	return b.nextID - 1
 }
 
 func (b *builder) genLabel() string {
@@ -402,7 +417,7 @@ func (b *builder) doStmt(x *ast.DoStmt) {
 		limit := b.proc.NewTemp(ast.TypeInteger)
 		b.emitFlat(flatOp{kind: flatInstr, pos: pos,
 			instr: b.newInstr(Instr{Kind: InstrAssign, Pos: pos, Lhs: limit, Rhs: toExpr})})
-		limitRef = &ast.Ident{Position: pos, Name: limit.Name}
+		limitRef = &ast.Ident{Position: pos, ID: b.id(), Name: limit.Name}
 	}
 
 	// Step: literal 1 when omitted; snapshot when not a literal.
@@ -424,39 +439,39 @@ func (b *builder) doStmt(x *ast.DoStmt) {
 			st := b.proc.NewTemp(ast.TypeInteger)
 			b.emitFlat(flatOp{kind: flatInstr, pos: pos,
 				instr: b.newInstr(Instr{Kind: InstrAssign, Pos: pos, Lhs: st, Rhs: se})})
-			stepRef = &ast.Ident{Position: pos, Name: st.Name}
+			stepRef = &ast.Ident{Position: pos, ID: b.id(), Name: st.Name}
 		}
 	} else {
-		stepRef = &ast.IntLit{Position: pos, Value: 1}
+		stepRef = &ast.IntLit{Position: pos, ID: b.id(), Value: 1}
 	}
 
 	head := b.genLabel()
 	exit := b.genLabel()
 	b.defineLabel(head)
 
-	vRef := &ast.Ident{Position: pos, Name: v.Name}
+	vRef := &ast.Ident{Position: pos, ID: b.id(), Name: v.Name}
 	var cond ast.Expr
 	switch {
 	case stepKnown && stepVal >= 0:
-		cond = &ast.Binary{Position: pos, Op: ast.OpLe, X: vRef, Y: limitRef}
+		cond = &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpLe, X: vRef, Y: limitRef}
 	case stepKnown:
-		cond = &ast.Binary{Position: pos, Op: ast.OpGe, X: vRef, Y: limitRef}
+		cond = &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpGe, X: vRef, Y: limitRef}
 	default:
 		// Runtime-signed step: (step > 0 .AND. v <= limit) .OR.
 		// (step <= 0 .AND. v >= limit).
-		up := &ast.Binary{Position: pos, Op: ast.OpAnd,
-			X: &ast.Binary{Position: pos, Op: ast.OpGt, X: stepRef, Y: &ast.IntLit{Position: pos, Value: 0}},
-			Y: &ast.Binary{Position: pos, Op: ast.OpLe, X: vRef, Y: limitRef}}
-		down := &ast.Binary{Position: pos, Op: ast.OpAnd,
-			X: &ast.Binary{Position: pos, Op: ast.OpLe, X: stepRef, Y: &ast.IntLit{Position: pos, Value: 0}},
-			Y: &ast.Binary{Position: pos, Op: ast.OpGe, X: vRef, Y: limitRef}}
-		cond = &ast.Binary{Position: pos, Op: ast.OpOr, X: up, Y: down}
+		up := &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpAnd,
+			X: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpGt, X: stepRef, Y: &ast.IntLit{Position: pos, ID: b.id(), Value: 0}},
+			Y: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpLe, X: vRef, Y: limitRef}}
+		down := &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpAnd,
+			X: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpLe, X: stepRef, Y: &ast.IntLit{Position: pos, ID: b.id(), Value: 0}},
+			Y: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpGe, X: vRef, Y: limitRef}}
+		cond = &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpOr, X: up, Y: down}
 	}
 	b.emitFlat(flatOp{kind: flatBranchFalse, cond: cond, label: exit, pos: pos})
 
 	b.flatten(x.Body)
 
-	incr := &ast.Binary{Position: pos, Op: ast.OpAdd, X: vRef, Y: stepRef}
+	incr := &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpAdd, X: vRef, Y: stepRef}
 	b.emitFlat(flatOp{kind: flatInstr, pos: pos,
 		instr: b.newInstr(Instr{Kind: InstrAssign, Pos: pos, Lhs: v, Rhs: incr})})
 	b.emitFlat(flatOp{kind: flatJump, label: head, pos: pos})
@@ -471,9 +486,9 @@ func (b *builder) computedGoto(x *ast.ComputedGotoStmt) {
 	t := b.proc.NewTemp(ast.TypeInteger)
 	b.emitFlat(flatOp{kind: flatInstr, pos: pos,
 		instr: b.newInstr(Instr{Kind: InstrAssign, Pos: pos, Lhs: t, Rhs: idx})})
-	tRef := &ast.Ident{Position: pos, Name: t.Name}
+	tRef := &ast.Ident{Position: pos, ID: b.id(), Name: t.Name}
 	for i, lbl := range x.Targets {
-		cond := &ast.Binary{Position: pos, Op: ast.OpEq, X: tRef, Y: &ast.IntLit{Position: pos, Value: int64(i + 1)}}
+		cond := &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpEq, X: tRef, Y: &ast.IntLit{Position: pos, ID: b.id(), Value: int64(i + 1)}}
 		b.emitFlat(flatOp{kind: flatBranchTrue, cond: cond, label: lbl, pos: pos})
 	}
 }
@@ -483,15 +498,15 @@ func (b *builder) computedGoto(x *ast.ComputedGotoStmt) {
 func (b *builder) arithIf(x *ast.ArithIfStmt) {
 	pos := x.Pos()
 	e := b.extractCalls(x.Expr)
-	t := b.proc.NewTemp(b.prog.TypeOf(x.Expr))
+	t := b.proc.NewTemp(b.proc.TypeOf(x.Expr))
 	b.emitFlat(flatOp{kind: flatInstr, pos: pos,
 		instr: b.newInstr(Instr{Kind: InstrAssign, Pos: pos, Lhs: t, Rhs: e})})
-	tRef := &ast.Ident{Position: pos, Name: t.Name}
-	zero := &ast.IntLit{Position: pos, Value: 0}
+	tRef := &ast.Ident{Position: pos, ID: b.id(), Name: t.Name}
+	zero := &ast.IntLit{Position: pos, ID: b.id(), Value: 0}
 	b.emitFlat(flatOp{kind: flatBranchTrue, pos: pos, label: x.LtLabel,
-		cond: &ast.Binary{Position: pos, Op: ast.OpLt, X: tRef, Y: zero}})
+		cond: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpLt, X: tRef, Y: zero}})
 	b.emitFlat(flatOp{kind: flatBranchTrue, pos: pos, label: x.EqLabel,
-		cond: &ast.Binary{Position: pos, Op: ast.OpEq, X: tRef, Y: zero}})
+		cond: &ast.Binary{Position: pos, ID: b.id(), Op: ast.OpEq, X: tRef, Y: zero}})
 	b.emitFlat(flatOp{kind: flatJump, label: x.GtLabel, pos: pos})
 }
 
@@ -501,8 +516,8 @@ func (b *builder) arithIf(x *ast.ArithIfStmt) {
 // Intrinsics and array references are left in place.
 //
 // Call-free trees — the overwhelmingly common case — are returned
-// as-is instead of being deep-copied: downstream consumers key on node
-// identity only for single-occurrence source nodes, which sharing
+// as-is instead of being deep-copied: downstream consumers key on
+// expression IDs only for single-occurrence source nodes, which sharing
 // preserves, and never mutate instruction expressions.
 func (b *builder) extractCalls(e ast.Expr) ast.Expr {
 	if e == nil || !b.hasCall(e) {
@@ -515,7 +530,7 @@ func (b *builder) extractCalls(e ast.Expr) ast.Expr {
 func (b *builder) hasCall(e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.Apply:
-		if b.prog.ApplyKindOf(x) == sem.ApplyCall {
+		if b.proc.ApplyKindOf(x) == sem.ApplyCall {
 			return true
 		}
 		for _, a := range x.Args {
@@ -538,22 +553,22 @@ func (b *builder) extractCallsSlow(e ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case *ast.Apply:
 		args := b.extractCallsList(x.Args)
-		if b.prog.ApplyKindOf(x) == sem.ApplyCall {
+		if b.proc.ApplyKindOf(x) == sem.ApplyCall {
 			callee := b.prog.Procs[x.Name]
 			t := b.proc.NewTemp(resultType(callee))
 			site := &CallSite{Caller: b.proc, Callee: x.Name, Args: args, Pos: x.Pos(), IsFunction: true, Origin: x}
 			b.sites = append(b.sites, site)
 			b.emitFlat(flatOp{kind: flatInstr, pos: x.Pos(),
 				instr: b.newInstr(Instr{Kind: InstrCall, Pos: x.Pos(), Site: site, Lhs: t})})
-			return &ast.Ident{Position: x.Pos(), Name: t.Name}
+			return &ast.Ident{Position: x.Pos(), ID: b.id(), Name: t.Name}
 		}
-		return &ast.Apply{Position: x.Position, Name: x.Name, Args: args}
+		return &ast.Apply{Position: x.Position, ID: b.id(), Name: x.Name, Args: args}
 	case *ast.Unary:
-		return &ast.Unary{Position: x.Position, Op: x.Op, X: b.extractCalls(x.X)}
+		return &ast.Unary{Position: x.Position, ID: b.id(), Op: x.Op, X: b.extractCalls(x.X)}
 	case *ast.Binary:
 		// Note: both operands are always evaluated (no short-circuit in
 		// F77s), left to right.
-		return &ast.Binary{Position: x.Position, Op: x.Op, X: b.extractCalls(x.X), Y: b.extractCalls(x.Y)}
+		return &ast.Binary{Position: x.Position, ID: b.id(), Op: x.Op, X: b.extractCalls(x.X), Y: b.extractCalls(x.Y)}
 	default:
 		return e
 	}
@@ -588,7 +603,7 @@ func resultType(p *sem.Procedure) ast.BaseType {
 // Block assembly
 
 func (b *builder) assemble() *Graph {
-	g := &Graph{Proc: b.proc}
+	g := &Graph{Proc: b.proc, NumExprs: int(b.nextID)}
 
 	// Find leaders: op 0, targets of jumps/branches, ops after
 	// jumps/branches/returns/stops.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -392,6 +393,117 @@ END
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("CFG missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestSynthesizedExprIDs: the nodes the builder synthesizes — DO-loop
+// tests, increments and bound snapshots, computed GOTO and arithmetic
+// IF branches, and the copies call extraction makes — carry distinct
+// IDs in [Unit.NumExprs, Graph.NumExprs); source nodes keep theirs, and
+// the unit's NumExprs is left alone.
+func TestSynthesizedExprIDs(t *testing.T) {
+	src := `PROGRAM P
+INTEGER I, J, K, N, A(10)
+DATA N / 3 /
+READ *, K
+DO 10 I = 1, N
+A(I) = F(I) + 1
+10 CONTINUE
+DO 20 J = N, 1, K
+PRINT *, MAX(F(J), A(J))
+20 CONTINUE
+DO 30 J = 10, 1, -2
+CALL S(J, F(J) * 2)
+30 CONTINUE
+GOTO (40, 50), K
+40 IF (K - F(N)) 50, 60, 60
+50 CONTINUE
+60 IF (F(K) .GT. 0) PRINT *, -F(K)
+END
+SUBROUTINE S(X, Y)
+INTEGER X, Y
+PRINT *, X + Y
+END
+INTEGER FUNCTION F(X)
+INTEGER X
+F = X + 1
+END
+`
+	var diags source.ErrorList
+	f := parser.ParseSource("t.f", src, &diags)
+	prog := sem.Analyze(f, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("front-end errors:\n%s", diags.Error())
+	}
+	for _, p := range prog.Order {
+		unitExprs := p.Unit.NumExprs
+		source := make(map[ast.Expr]bool)
+		mark := func(e ast.Expr) {
+			ast.WalkExpr(e, func(x ast.Expr) bool { source[x] = true; return true })
+		}
+		for _, d := range p.Unit.Decls {
+			if dd, ok := d.(*ast.DataDecl); ok {
+				for _, v := range dd.Values {
+					mark(v)
+				}
+			}
+		}
+		ast.WalkStmts(p.Unit.Body, func(s ast.Stmt) bool {
+			for _, e := range ast.ExprsOf(s) {
+				mark(e)
+			}
+			return true
+		})
+
+		g := Build(prog, p)
+		if p.Unit.NumExprs != unitExprs {
+			t.Fatalf("%s: Build changed Unit.NumExprs %d → %d", p.Name, unitExprs, p.Unit.NumExprs)
+		}
+		synth := make(map[int32]ast.Expr)
+		check := func(e ast.Expr) {
+			ast.WalkExpr(e, func(x ast.Expr) bool {
+				id := x.ExprID()
+				if source[x] {
+					if int(id) >= unitExprs {
+						t.Errorf("%s: source node %s has ID %d ≥ Unit.NumExprs %d", p.Name, ast.ExprString(x), id, unitExprs)
+					}
+					return true
+				}
+				if int(id) < unitExprs || int(id) >= g.NumExprs {
+					t.Errorf("%s: synthesized %s has ID %d outside [%d, %d)", p.Name, ast.ExprString(x), id, unitExprs, g.NumExprs)
+				}
+				if prev, dup := synth[id]; dup && prev != x {
+					t.Errorf("%s: synthesized %s and %s share ID %d", p.Name, ast.ExprString(prev), ast.ExprString(x), id)
+				}
+				synth[id] = x
+				return true
+			})
+		}
+		for _, blk := range g.Blocks {
+			for _, in := range blk.Instrs {
+				check(in.Rhs)
+				for _, e := range in.Subs {
+					check(e)
+				}
+				for _, e := range in.Args {
+					check(e)
+				}
+				for _, tg := range in.Targets {
+					for _, e := range tg.Subs {
+						check(e)
+					}
+				}
+				if in.Site != nil {
+					for _, e := range in.Site.Args {
+						check(e)
+					}
+				}
+			}
+			check(blk.Term.Cond)
+		}
+		if p.Name == "P" && len(synth) < 20 {
+			t.Errorf("P: only %d synthesized nodes; the program should exercise every lowering", len(synth))
 		}
 	}
 }

@@ -28,9 +28,7 @@ func Tokenize(file *source.File, diags *source.ErrorList) []Token {
 	defer guard.Repanic("lex")
 	guard.InjectPanic("lex")
 	lx := New(file, diags)
-	// One token per ~6 source bytes is a close overestimate for F77;
-	// sizing up front keeps the append from reallocating mid-scan.
-	toks := make([]Token, 0, len(lx.src)/6+16)
+	toks := make([]Token, 0, tokenCap(len(lx.src)))
 	for {
 		t := lx.Next()
 		toks = append(toks, t)
@@ -39,6 +37,13 @@ func Tokenize(file *source.File, diags *source.ErrorList) []Token {
 		}
 	}
 }
+
+// tokenCap is the token-slice capacity Tokenize reserves for n source
+// bytes; sizing up front keeps the append from reallocating mid-scan.
+// The 13 suite programs measure 2.55–2.85 source bytes per token and
+// generated programs 2.42–2.85, so one token per 2.4 bytes covers both
+// with 6–19% slack on the suite.
+func tokenCap(n int) int { return n*5/12 + 16 }
 
 func (l *Lexer) errorf(off int, format string, args ...interface{}) {
 	if l.diags != nil {

@@ -9,6 +9,8 @@ import (
 // Pass 3: bodies — label collection, expression resolution, type checks
 
 func (a *analyzer) checkBody(p *Procedure) {
+	p.exprTypes = make([]ast.BaseType, p.Unit.NumExprs)
+	p.applyKinds = make([]ApplyKind, p.Unit.NumExprs)
 	// Collect labels first so forward GOTOs resolve.
 	ast.WalkStmts(p.Unit.Body, func(s ast.Stmt) bool {
 		if l := s.Label(); l != "" {
@@ -147,19 +149,19 @@ func (a *analyzer) checkLvalue(p *Procedure, e ast.Expr) ast.BaseType {
 		if s.IsArray {
 			a.errorf(x.Pos(), "array %s assigned without subscripts", x.Name)
 		}
-		a.exprTypes[e] = s.Type
+		p.exprTypes[x.ID] = s.Type
 		return s.Type
 	case *ast.Apply:
 		// Must be an array element on the left-hand side.
 		s, ok := p.Symbols[x.Name]
 		if !ok || !s.IsArray {
 			a.errorf(x.Pos(), "%s is not an array", x.Name)
-			a.exprTypes[e] = ast.TypeNone
+			p.exprTypes[x.ID] = ast.TypeNone
 			return ast.TypeNone
 		}
-		a.applyKinds[x] = ApplyArray
+		p.applyKinds[x.ID] = ApplyArray
 		a.checkSubscripts(p, x, s)
-		a.exprTypes[e] = s.Type
+		p.exprTypes[x.ID] = s.Type
 		return s.Type
 	}
 	a.errorf(e.Pos(), "invalid assignment target")
@@ -217,10 +219,10 @@ func (a *analyzer) checkCall(p *Procedure, pos source.Position, name string, arg
 }
 
 // exprType resolves and types an expression, recording results in the
-// program's side tables.
+// procedure's side tables.
 func (a *analyzer) exprType(p *Procedure, e ast.Expr) ast.BaseType {
 	t := a.exprType1(p, e)
-	a.exprTypes[e] = t
+	p.exprTypes[e.ExprID()] = t
 	return t
 }
 
@@ -292,13 +294,13 @@ func (a *analyzer) exprType1(p *Procedure, e ast.Expr) ast.BaseType {
 func (a *analyzer) applyType(p *Procedure, x *ast.Apply) ast.BaseType {
 	// 1. Array element, if the name is a declared array.
 	if s, ok := p.Symbols[x.Name]; ok && s.IsArray {
-		a.applyKinds[x] = ApplyArray
+		p.applyKinds[x.ID] = ApplyArray
 		a.checkSubscripts(p, x, s)
 		return s.Type
 	}
 	// 2. Intrinsic.
 	if in, ok := Intrinsics[x.Name]; ok {
-		a.applyKinds[x] = ApplyIntrinsic
+		p.applyKinds[x.ID] = ApplyIntrinsic
 		if len(x.Args) < in.MinArgs || (in.MaxArgs >= 0 && len(x.Args) > in.MaxArgs) {
 			a.errorf(x.Pos(), "intrinsic %s called with %d argument(s)", x.Name, len(x.Args))
 		}
@@ -319,7 +321,7 @@ func (a *analyzer) applyType(p *Procedure, x *ast.Apply) ast.BaseType {
 	}
 	// 3. User function.
 	if _, ok := a.prog.Procs[x.Name]; ok {
-		a.applyKinds[x] = ApplyCall
+		p.applyKinds[x.ID] = ApplyCall
 		return a.checkCall(p, x.Pos(), x.Name, x.Args, true)
 	}
 	a.errorf(x.Pos(), "%s is neither an array, an intrinsic, nor a defined function", x.Name)

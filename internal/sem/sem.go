@@ -127,7 +127,38 @@ type Procedure struct {
 	// Result is the function-result symbol (functions only).
 	Result *Symbol
 
+	// exprTypes and applyKinds are pass 3's per-expression facts,
+	// indexed by the unit's expression IDs (ast.Expr): the type of
+	// every checked expression and the resolution of every Apply. They
+	// belong to the procedure, so a unit replaced in place takes its
+	// facts with it, and parallel body checking needs no merge.
+	exprTypes  []ast.BaseType
+	applyKinds []ApplyKind
+
 	nextTemp int
+}
+
+// TypeOf returns the analyzed type of an expression of the procedure's
+// unit (TypeNone if the expression was never reached, e.g. due to
+// earlier errors, or is a node later phases synthesized).
+func (p *Procedure) TypeOf(e ast.Expr) ast.BaseType {
+	if e != nil {
+		if i := uint(e.ExprID()); i < uint(len(p.exprTypes)) {
+			return p.exprTypes[i]
+		}
+	}
+	return ast.TypeNone
+}
+
+// ApplyKindOf returns the resolution of an Apply node of the
+// procedure's unit (ApplyArray for a node sem never resolved).
+func (p *Procedure) ApplyKindOf(a *ast.Apply) ApplyKind {
+	if a != nil {
+		if i := uint(a.ID); i < uint(len(p.applyKinds)) {
+			return p.applyKinds[i]
+		}
+	}
+	return ApplyArray
 }
 
 // IsFunction reports whether the procedure returns a value.
@@ -162,10 +193,6 @@ type Program struct {
 	// CommonBlocks maps block name to the canonical member layout.
 	CommonBlocks map[string][]*GlobalVar
 
-	// applyKinds resolves every ast.Apply in the program.
-	applyKinds map[*ast.Apply]ApplyKind
-	// exprTypes caches the type of every analyzed expression.
-	exprTypes map[ast.Expr]ast.BaseType
 	// globalsCache is the stable Globals() order, sealed once after
 	// analysis so solver inner loops share one slice.
 	globalsCache []*GlobalVar
@@ -176,13 +203,6 @@ type Program struct {
 	procIdx   map[*Procedure]int
 	globalIdx map[*GlobalVar]int
 }
-
-// ApplyKindOf returns the resolution of an Apply node.
-func (pr *Program) ApplyKindOf(a *ast.Apply) ApplyKind { return pr.applyKinds[a] }
-
-// TypeOf returns the analyzed type of an expression (TypeNone if the
-// expression was never reached, e.g. due to earlier errors).
-func (pr *Program) TypeOf(e ast.Expr) ast.BaseType { return pr.exprTypes[e] }
 
 // Globals returns all COMMON globals in a stable order. The slice is
 // computed once when analysis completes and shared thereafter (callers
@@ -256,9 +276,9 @@ func Analyze(file *ast.File, diags *source.ErrorList) *Program {
 // state (unit registration, COMMON block layouts). Pass 3 touches only
 // its own unit's symbols plus read-only facts fixed by pass 2 (callee
 // formal lists, unit kinds, result types), so units are independent;
-// each worker records types, apply resolutions, and diagnostics in a
-// private shard, merged in unit order so output is identical to the
-// serial pass.
+// types and apply resolutions land in each procedure's own tables, and
+// each worker collects diagnostics in a private list, appended in unit
+// order so output is identical to the serial pass.
 func AnalyzeParallel(file *ast.File, diags *source.ErrorList, workers int) *Program {
 	prog, _ := AnalyzeParallelCtx(nil, file, diags, workers)
 	return prog
@@ -278,10 +298,8 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 		File:         file,
 		Procs:        make(map[string]*Procedure),
 		CommonBlocks: make(map[string][]*GlobalVar),
-		applyKinds:   make(map[*ast.Apply]ApplyKind),
-		exprTypes:    make(map[ast.Expr]ast.BaseType),
 	}
-	a := &analyzer{prog: prog, diags: diags, applyKinds: prog.applyKinds, exprTypes: prog.exprTypes}
+	a := &analyzer{prog: prog, diags: diags}
 	a.collectUnits()
 	for _, p := range a.prog.Order {
 		a.declareSymbols(p)
@@ -299,29 +317,17 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 		a.prog.sealGlobals()
 		return a.prog, nil
 	}
-	shards := make([]*analyzer, n)
+	unitDiags := make([]source.ErrorList, n)
 	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
-		sh := &analyzer{
-			prog:       prog,
-			diags:      &source.ErrorList{},
-			applyKinds: make(map[*ast.Apply]ApplyKind),
-			exprTypes:  make(map[ast.Expr]ast.BaseType),
-		}
-		shards[i] = sh
+		sh := &analyzer{prog: prog, diags: &unitDiags[i]}
 		sh.checkBodyGuarded(prog.Order[i])
 		return nil
 	})
 	if err != nil {
 		return nil, &guard.Exhausted{Axis: guard.AxisDeadline, Cause: err, Site: "sem"}
 	}
-	for _, sh := range shards {
-		for k, v := range sh.applyKinds {
-			prog.applyKinds[k] = v
-		}
-		for k, v := range sh.exprTypes {
-			prog.exprTypes[k] = v
-		}
-		diags.Diags = append(diags.Diags, sh.diags.Diags...)
+	for i := range unitDiags {
+		diags.Diags = append(diags.Diags, unitDiags[i].Diags...)
 	}
 	a.prog.sealGlobals()
 	return a.prog, nil
@@ -330,12 +336,6 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 type analyzer struct {
 	prog  *Program
 	diags *source.ErrorList
-	// applyKinds and exprTypes are the side-table sinks for pass 3: they
-	// alias prog's maps in serial mode, and per-unit shards in parallel
-	// mode (an AST node belongs to exactly one unit, so shards are
-	// disjoint and merge without conflicts).
-	applyKinds map[*ast.Apply]ApplyKind
-	exprTypes  map[ast.Expr]ast.BaseType
 }
 
 // checkBodyGuarded tags panics during body checking with the unit name,

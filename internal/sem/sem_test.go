@@ -157,7 +157,7 @@ END
 		for _, e := range ast.ExprsOf(s) {
 			ast.WalkExpr(e, func(x ast.Expr) bool {
 				if ap, ok := x.(*ast.Apply); ok {
-					switch prog.ApplyKindOf(ap) {
+					switch prog.Main.ApplyKindOf(ap) {
 					case ApplyArray:
 						arrays++
 					case ApplyCall:
@@ -205,7 +205,7 @@ END
 	for _, s := range prog.Main.Unit.Body {
 		as := s.(*ast.AssignStmt)
 		lhs := as.Lhs.(*ast.Ident)
-		rt := prog.TypeOf(as.Rhs)
+		rt := prog.Main.TypeOf(as.Rhs)
 		switch lhs.Name {
 		case "I":
 			if rt != ast.TypeInteger {

@@ -459,22 +459,22 @@ type DegradationJSON struct {
 
 // AnalyzeResponse is the 200 body.
 type AnalyzeResponse struct {
-	Status        string                    `json:"status"` // "ok" | "degraded"
-	Config        string                    `json:"config"` // configuration actually served
-	Retries       int                       `json:"retries"`
-	Constants     map[string][]ConstantJSON `json:"constants"`
+	Status    string                    `json:"status"` // "ok" | "degraded"
+	Config    string                    `json:"config"` // configuration actually served
+	Retries   int                       `json:"retries"`
+	Constants map[string][]ConstantJSON `json:"constants"`
 	// Domain and Facts report abstract-domain results; both are absent
 	// for the default constant domain, keeping its responses
 	// byte-identical to earlier wire versions.
 	Domain        string                `json:"domain,omitempty"`
 	Facts         map[string][]FactJSON `json:"facts,omitempty"`
 	Substitutions int                   `json:"substitutions"`
-	Degradations  []DegradationJSON         `json:"degradations,omitempty"`
-	Warnings      []string                  `json:"warnings,omitempty"`
-	JFEvaluations int                       `json:"jf_evaluations"`
-	SolverRounds  int                       `json:"solver_rounds"`
-	JumpFunctions []string                  `json:"jump_functions,omitempty"`
-	Transformed   string                    `json:"transformed,omitempty"`
+	Degradations  []DegradationJSON     `json:"degradations,omitempty"`
+	Warnings      []string              `json:"warnings,omitempty"`
+	JFEvaluations int                   `json:"jf_evaluations"`
+	SolverRounds  int                   `json:"solver_rounds"`
+	JumpFunctions []string              `json:"jump_functions,omitempty"`
+	Transformed   string                `json:"transformed,omitempty"`
 }
 
 // ErrorResponse is every non-200 body.

@@ -204,11 +204,10 @@ func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr, def func(Var, *Va
 }
 
 // evalExpr builds the SSA value of an expression occurrence, recording
-// it in UseVal.
+// it for ValueOf and BlockOf.
 func (b *ssaBuilder) evalExpr(blk *cfg.Block, e ast.Expr) *Value {
 	v := b.evalExpr1(blk, e)
-	b.f.UseVal[e] = v
-	b.f.UseBlock[e] = blk
+	b.f.uses[e.ExprID()] = use{v, blk}
 	return v
 }
 

@@ -160,18 +160,49 @@ type Func struct {
 	// ExitVals holds the value of each tracked variable at procedure
 	// exit (used to build return jump functions).
 	ExitVals map[Var]*Value
-	// UseVal maps source-AST expression occurrences to their values.
-	// Reliable only for expressions that occur once in the AST (true for
-	// parsed source; compiler-synthesized nodes may repeat).
-	UseVal map[ast.Expr]*Value
-	// UseBlock maps each occurrence to the block it executes in (the
-	// value's own Block is where its *def* lives, which may differ).
-	UseBlock map[ast.Expr]*cfg.Block
+	// uses records, per expression ID (ast.Expr, cfg.Graph.NumExprs),
+	// the value of the expression's occurrence and the block it
+	// executes in; read it through ValueOf and BlockOf.
+	uses []use
 	// TermVal holds each block's branch-condition value.
 	TermVal map[*cfg.Block]*Value
 	// Params/GlobalIns give the entry values.
 	Params    map[*sem.Symbol]*Value
 	GlobalIns map[*sem.GlobalVar]*Value
+}
+
+// use is what renaming records for one expression occurrence.
+type use struct {
+	val *Value
+	blk *cfg.Block
+}
+
+// ValueOf returns the SSA value of an expression occurrence in the
+// procedure's instructions and terminators, or nil for an expression
+// renaming never evaluated. Reliable only for expressions that occur
+// once in the graph (true for parsed source; a node the CFG builder
+// synthesized may be shared, and then the last occurrence renamed
+// wins).
+func (f *Func) ValueOf(e ast.Expr) *Value {
+	if e != nil {
+		if i := uint(e.ExprID()); i < uint(len(f.uses)) {
+			return f.uses[i].val
+		}
+	}
+	return nil
+}
+
+// BlockOf returns the block an expression occurrence executes in, or
+// nil where ValueOf is nil. A value's own Block is where its def lives,
+// which may differ: a use of a variable is the reaching definition's
+// value.
+func (f *Func) BlockOf(e ast.Expr) *cfg.Block {
+	if e != nil {
+		if i := uint(e.ExprID()); i < uint(len(f.uses)) {
+			return f.uses[i].blk
+		}
+	}
+	return nil
 }
 
 // Options configures SSA construction.
@@ -196,8 +227,7 @@ func Build(g *cfg.Graph, dt *dom.Tree, opts Options) *Func {
 		Phis:      make(map[*cfg.Block][]*Value),
 		Calls:     make(map[*cfg.CallSite]*CallInfo),
 		ExitVals:  make(map[Var]*Value),
-		UseVal:    make(map[ast.Expr]*Value),
-		UseBlock:  make(map[ast.Expr]*cfg.Block),
+		uses:      make([]use, g.NumExprs),
 		TermVal:   make(map[*cfg.Block]*Value),
 		Params:    make(map[*sem.Symbol]*Value),
 		GlobalIns: make(map[*sem.GlobalVar]*Value),
@@ -207,10 +237,19 @@ func Build(g *cfg.Graph, dt *dom.Tree, opts Options) *Func {
 	return f
 }
 
-// valueChunk is the arena chunk size: SSA values per slab allocation.
-// Small procedures fit in one chunk; large ones grow chunk-at-a-time
-// with stable *Value addresses throughout.
-const valueChunk = 256
+const (
+	// firstValueChunk and valueChunk bound the value arena's chunk
+	// sizes: SSA values per slab allocation. Chunks are chained, never
+	// moved, so *Value addresses stay stable. Most procedures are
+	// small, so the first chunk is small and each next one doubles up
+	// to the cap, as the cfg and symbolic slabs grow: a full-size first
+	// chunk would mostly be allocated and cleared slack.
+	firstValueChunk = 16
+	valueChunk      = 256
+	// firstArgChunk and argChunk bound the shared Args slab's.
+	firstArgChunk = 64
+	argChunk      = 1024
+)
 
 type ssaBuilder struct {
 	f      *Func
@@ -230,7 +269,7 @@ type ssaBuilder struct {
 
 func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Value, 0, valueChunk)
+		b.arena = make([]Value, 0, min(max(2*cap(b.arena), firstValueChunk), valueChunk))
 	}
 	b.arena = b.arena[:len(b.arena)+1]
 	v := &b.arena[len(b.arena)-1]
@@ -245,7 +284,7 @@ func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 // shared args slab.
 func (b *ssaBuilder) argSpan(n int) []*Value {
 	if len(b.argSlab)+n > cap(b.argSlab) {
-		c := 4 * valueChunk
+		c := min(max(2*cap(b.argSlab), firstArgChunk), argChunk)
 		if n > c {
 			c = n
 		}

@@ -3,6 +3,7 @@ package ssa
 import (
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/dom"
@@ -235,8 +236,8 @@ END
 	if printInstr == nil {
 		t.Fatal("no print instruction")
 	}
-	xv := fn.UseVal[printInstr.Args[0]]
-	yv := fn.UseVal[printInstr.Args[1]]
+	xv := fn.ValueOf(printInstr.Args[0])
+	yv := fn.ValueOf(printInstr.Args[1])
 	if xv == nil || xv.Op != OpPostCall {
 		t.Errorf("X after call = %v, want PostCall", xv)
 	}
@@ -254,7 +255,7 @@ END
 			}
 		}
 	}
-	yv2 := fn2.UseVal[print2.Args[1]]
+	yv2 := fn2.ValueOf(print2.Args[1])
 	if yv2 == nil || yv2.Op != OpPostCall {
 		t.Errorf("no-MOD: Y after call = %v, want PostCall", yv2)
 	}
@@ -283,7 +284,7 @@ END
 			}
 		}
 	}
-	gv := fn.UseVal[printInstr.Args[0]]
+	gv := fn.ValueOf(printInstr.Args[0])
 	if gv == nil || gv.Op != OpPostCall {
 		t.Errorf("G after call = %v, want PostCall", gv)
 	}
@@ -427,7 +428,9 @@ END
 // TestSSAInvariantsOnRandomPrograms checks, over generated programs:
 // every value has a unique ID; non-phi arguments' defining blocks
 // dominate the user's block; phi argument counts match predecessor
-// counts; every tracked use resolves to a value.
+// counts; every operand expression of every instruction and branch —
+// each subexpression included — has a value and a block, and literals
+// and operators have the value built for them.
 func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		src := gen.Program(gen.Config{Seed: seed, NumProcs: 4, StmtsPerProc: 10})
@@ -464,11 +467,101 @@ func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 					}
 				}
 			}
-			for e, v := range fn.UseVal {
-				if v == nil {
-					t.Fatalf("seed %d %s: nil UseVal for %T", seed, n.Proc.Name, e)
+			for _, e := range operandExprs(fn) {
+				ast.WalkExpr(e, func(x ast.Expr) bool {
+					v := fn.ValueOf(x)
+					if v == nil || fn.BlockOf(x) == nil {
+						t.Fatalf("seed %d %s: no value for operand %s (%T, ID %d)", seed, n.Proc.Name, ast.ExprString(x), x, x.ExprID())
+					}
+					// The value must be the one built for this node, not
+					// for another node sharing its ID.
+					ok := true
+					switch x := x.(type) {
+					case *ast.IntLit:
+						ok = v.Op == OpConst && v.AuxInt == x.Value
+					case *ast.Unary:
+						ok = v.Op == OpArith && v.AuxOp == x.Op
+					case *ast.Binary:
+						ok = v.Op == OpArith && v.AuxOp == x.Op
+					}
+					if !ok {
+						t.Fatalf("seed %d %s: operand %s (ID %d) has value %v", seed, n.Proc.Name, ast.ExprString(x), x.ExprID(), v)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// operandExprs lists the expressions renaming evaluates in a function's
+// reachable blocks: assignment right-hand sides and store subscripts,
+// READ target subscripts, PRINT arguments, scalar call actuals (whole
+// arrays have no value) and branch conditions.
+func operandExprs(fn *Func) []ast.Expr {
+	var es []ast.Expr
+	for _, blk := range fn.Graph.Blocks {
+		if !fn.Dom.Reachable(blk) {
+			continue
+		}
+		for _, in := range blk.Instrs {
+			switch in.Kind {
+			case cfg.InstrAssign:
+				es = append(es, in.Rhs)
+				es = append(es, in.Subs...)
+			case cfg.InstrRead:
+				for _, tg := range in.Targets {
+					es = append(es, tg.Subs...)
+				}
+			case cfg.InstrPrint:
+				es = append(es, in.Args...)
+			case cfg.InstrCall:
+				for i, a := range in.Site.Args {
+					if !fn.Calls[in.Site].ArgIsWholeArray[i] {
+						es = append(es, a)
+					}
 				}
 			}
 		}
+		if blk.Term.Kind == cfg.TermCond {
+			es = append(es, blk.Term.Cond)
+		}
+	}
+	return es
+}
+
+// TestArenaChunksGrowGeometrically: the value arena and the Args slab
+// start small (most procedures need few values) and double per chunk up
+// to their caps.
+func TestArenaChunksGrowGeometrically(t *testing.T) {
+	check := func(what string, caps []int, first, max int) {
+		t.Helper()
+		want := first
+		for i, c := range caps {
+			if c != want {
+				t.Fatalf("%s chunk %d holds %d, want %d (chunks %v)", what, i, c, want, caps)
+			}
+			want = min(2*want, max)
+		}
+		if last := caps[len(caps)-1]; last != max {
+			t.Errorf("%s: last chunk holds %d, want the cap %d", what, last, max)
+		}
+	}
+	b := &ssaBuilder{f: &Func{}}
+	var valueCaps, argCaps []int
+	for i := 0; i < 4*valueChunk; i++ {
+		b.newValue(OpConst, nil)
+		if len(b.arena) == 1 {
+			valueCaps = append(valueCaps, cap(b.arena))
+		}
+		if b.argSpan(2); len(b.argSlab) == 2 {
+			argCaps = append(argCaps, cap(b.argSlab))
+		}
+	}
+	check("value arena", valueCaps, firstValueChunk, valueChunk)
+	check("args slab", argCaps, firstArgChunk, argChunk)
+	// An Args span wider than the next chunk gets a chunk of its own.
+	if s := b.argSpan(argChunk + 1); len(s) != argChunk+1 || cap(s) != argChunk+1 {
+		t.Errorf("wide span: len %d cap %d, want %d", len(s), cap(s), argChunk+1)
 	}
 }
